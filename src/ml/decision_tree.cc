@@ -37,8 +37,10 @@ DecisionTree::DecisionTree(DecisionTreeConfig config) : config_(config) {
 void DecisionTree::Fit(const Dataset& train) {
   OPTHASH_CHECK_GT(train.NumExamples(), 0u);
   num_features_ = train.NumFeatures();
+  OPTHASH_CHECK_LE(num_features_, size_t{UINT32_MAX});
   num_classes_ = std::max<size_t>(train.NumClasses(), 1);
   nodes_.clear();
+  stats_.clear();
   std::vector<size_t> indices(train.NumExamples());
   std::iota(indices.begin(), indices.end(), size_t{0});
   Rng rng(config_.seed);
@@ -59,7 +61,7 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
   const auto node_id = static_cast<int32_t>(nodes_.size());
   nodes_.emplace_back();
   nodes_[node_id].label = MajorityLabel(counts);
-  nodes_[node_id].num_samples = n;
+  stats_.push_back({0.0, n});
 
   const bool pure = node_gini <= 1e-12;
   if (pure || depth >= config_.max_depth || n < 2 * config_.min_samples_leaf) {
@@ -87,6 +89,7 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
 
   std::vector<std::pair<double, int>> values(n);  // (feature value, label)
   std::vector<size_t> left_counts(num_classes_);
+  std::vector<size_t> right_counts(num_classes_);
   for (size_t feature : candidate_features) {
     for (size_t i = 0; i < n; ++i) {
       values[i] = {train.Features(indices[i])[feature],
@@ -106,7 +109,6 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
           right_total < config_.min_samples_leaf) {
         continue;
       }
-      std::vector<size_t> right_counts(num_classes_);
       for (size_t c = 0; c < num_classes_; ++c) {
         right_counts[c] = counts[c] - left_counts[c];
       }
@@ -144,13 +146,12 @@ int32_t DecisionTree::BuildNode(const Dataset& train,
   const int32_t left_id = BuildNode(train, left_indices, depth + 1, rng);
   const int32_t right_id = BuildNode(train, right_indices, depth + 1, rng);
 
-  Node& node = nodes_[node_id];
-  node.is_leaf = false;
-  node.feature = best_feature;
+  PredictNode& node = nodes_[node_id];
+  node.feature = static_cast<uint32_t>(best_feature);
   node.threshold = best_threshold;
-  node.left = left_id;
-  node.right = right_id;
-  node.impurity_decrease = best_decrease * static_cast<double>(n);
+  node.children[0] = left_id;
+  node.children[1] = right_id;
+  stats_[node_id].impurity_decrease = best_decrease * static_cast<double>(n);
   return node_id;
 }
 
@@ -161,12 +162,14 @@ int DecisionTree::Predict(const std::vector<double>& features) const {
 }
 
 int DecisionTree::PredictRow(const double* features) const {
+  const PredictNode* nodes = nodes_.data();
   int32_t node_id = 0;
-  while (!nodes_[node_id].is_leaf) {
-    const Node& node = nodes_[node_id];
-    node_id = features[node.feature] <= node.threshold ? node.left : node.right;
+  while (!nodes[node_id].is_leaf()) {
+    const PredictNode& node = nodes[node_id];
+    node_id = features[node.feature] <= node.threshold ? node.children[0]
+                                                       : node.children[1];
   }
-  return nodes_[node_id].label;
+  return nodes[node_id].label;
 }
 
 void DecisionTree::PredictBatch(const Matrix& rows, Span<int> out) const {
@@ -188,13 +191,28 @@ size_t DecisionTree::Depth() const {
     auto [node_id, depth] = stack.back();
     stack.pop_back();
     max_depth = std::max(max_depth, depth);
-    const Node& node = nodes_[node_id];
-    if (!node.is_leaf) {
-      stack.push_back({node.left, depth + 1});
-      stack.push_back({node.right, depth + 1});
+    const PredictNode& node = nodes_[node_id];
+    if (!node.is_leaf()) {
+      stack.push_back({node.children[0], depth + 1});
+      stack.push_back({node.children[1], depth + 1});
     }
   }
   return max_depth;
+}
+
+void DecisionTree::AppendNode(bool is_leaf, uint64_t feature,
+                              double threshold, int32_t left, int32_t right,
+                              int32_t label, NodeStats stats) {
+  PredictNode node;
+  node.label = label;
+  if (!is_leaf) {
+    node.feature = static_cast<uint32_t>(feature);
+    node.threshold = threshold;
+    node.children[0] = left;
+    node.children[1] = right;
+  }
+  nodes_.push_back(node);
+  stats_.push_back(stats);
 }
 
 namespace {
@@ -206,11 +224,13 @@ void DecisionTree::SerializeTo(std::ostream& out) const {
   out << kCartMagic << ' ' << num_features_ << ' ' << num_classes_ << ' '
       << nodes_.size() << '\n';
   out << std::setprecision(17);
-  for (const Node& node : nodes_) {
-    out << (node.is_leaf ? 1 : 0) << ' ' << node.feature << ' '
-        << node.threshold << ' ' << node.left << ' ' << node.right << ' '
-        << node.label << ' ' << node.impurity_decrease << ' '
-        << node.num_samples << '\n';
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const PredictNode& node = nodes_[i];
+    out << (node.is_leaf() ? 1 : 0) << ' ' << node.feature << ' '
+        << node.threshold << ' ' << node.children[0] << ' '
+        << node.children[1] << ' ' << node.label << ' '
+        << stats_[i].impurity_decrease << ' ' << stats_[i].num_samples
+        << '\n';
   }
 }
 
@@ -231,27 +251,32 @@ Result<DecisionTree> DecisionTree::DeserializeFrom(std::istream& in) {
   if (magic != kCartMagic) {
     return Status::InvalidArgument("bad decision tree magic: " + magic);
   }
+  if (node_count == 0) {
+    return Status::InvalidArgument("decision tree has no nodes");
+  }
   DecisionTree tree;
   tree.num_features_ = num_features;
   tree.num_classes_ = num_classes;
-  tree.nodes_.resize(node_count);
-  for (Node& node : tree.nodes_) {
+  for (size_t index = 0; index < node_count; ++index) {
     int is_leaf = 0;
-    if (!(in >> is_leaf >> node.feature >> node.threshold >> node.left >>
-          node.right >> node.label >> node.impurity_decrease >>
-          node.num_samples)) {
+    uint64_t feature = 0;
+    double threshold = 0.0;
+    int32_t left = 0;
+    int32_t right = 0;
+    int32_t label = 0;
+    NodeStats stats;
+    if (!(in >> is_leaf >> feature >> threshold >> left >> right >> label >>
+          stats.impurity_decrease >> stats.num_samples)) {
       return Status::InvalidArgument("truncated decision tree nodes");
     }
-    node.is_leaf = is_leaf != 0;
     const auto count = static_cast<int32_t>(node_count);
-    if (!node.is_leaf &&
-        (node.left < 0 || node.right < 0 || node.left >= count ||
-         node.right >= count || node.feature >= num_features)) {
+    if (is_leaf == 0 &&
+        (left < 0 || right < 0 || left >= count || right >= count ||
+         feature >= num_features || feature > UINT32_MAX)) {
       return Status::InvalidArgument("decision tree node out of range");
     }
-  }
-  if (tree.nodes_.empty()) {
-    return Status::InvalidArgument("decision tree has no nodes");
+    tree.AppendNode(is_leaf != 0, feature, threshold, left, right, label,
+                    stats);
   }
   tree.fitted_ = true;
   return tree;
@@ -275,15 +300,16 @@ void DecisionTree::SerializeBinary(io::ByteWriter& out) const {
   out.WriteU64(num_features_);
   out.WriteU64(num_classes_);
   out.WriteU64(nodes_.size());
-  for (const Node& node : nodes_) {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const PredictNode& node = nodes_[i];
     out.WriteU64(node.feature);
     out.WriteDouble(node.threshold);
-    out.WriteI32(node.left);
-    out.WriteI32(node.right);
+    out.WriteI32(node.children[0]);
+    out.WriteI32(node.children[1]);
     out.WriteI32(node.label);
-    out.WriteU32(node.is_leaf ? kNodeFlagLeaf : 0u);
-    out.WriteDouble(node.impurity_decrease);
-    out.WriteU64(node.num_samples);
+    out.WriteU32(node.is_leaf() ? kNodeFlagLeaf : 0u);
+    out.WriteDouble(stats_[i].impurity_decrease);
+    out.WriteU64(stats_[i].num_samples);
   }
 }
 
@@ -312,9 +338,9 @@ Result<DecisionTree> DecisionTree::DeserializeBinary(io::ByteReader& in) {
   DecisionTree tree;
   tree.num_features_ = num_features;
   tree.num_classes_ = num_classes;
-  tree.nodes_.resize(node_count);
+  tree.nodes_.reserve(node_count);
+  tree.stats_.reserve(node_count);
   for (size_t index = 0; index < node_count; ++index) {
-    Node& node = tree.nodes_[index];
     OPTHASH_IO_ASSIGN(feature, in.ReadU64());
     OPTHASH_IO_ASSIGN(threshold, in.ReadDouble());
     OPTHASH_IO_ASSIGN(left, in.ReadI32());
@@ -326,18 +352,10 @@ Result<DecisionTree> DecisionTree::DeserializeBinary(io::ByteReader& in) {
     if ((flags & ~kNodeFlagLeaf) != 0) {
       return Status::InvalidArgument("unknown cart node flags");
     }
-    node.feature = feature;
-    node.threshold = threshold;
-    node.left = left;
-    node.right = right;
-    node.label = label;
-    node.is_leaf = (flags & kNodeFlagLeaf) != 0;
-    node.impurity_decrease = impurity_decrease;
-    node.num_samples = num_samples;
+    const bool is_leaf = (flags & kNodeFlagLeaf) != 0;
     // Every node carries its majority label; a corrupt one would abort
     // Predict's bounds CHECK later, so reject it here instead.
-    if (node.label < 0 ||
-        static_cast<uint64_t>(node.label) >= num_classes) {
+    if (label < 0 || static_cast<uint64_t>(label) >= num_classes) {
       return Status::InvalidArgument("decision tree label out of range");
     }
     // The builder appends children after their parent, so child > parent
@@ -345,11 +363,13 @@ Result<DecisionTree> DecisionTree::DeserializeBinary(io::ByteReader& in) {
     // Predict) unrepresentable.
     const auto self = static_cast<int32_t>(index);
     const auto count = static_cast<int32_t>(node_count);
-    if (!node.is_leaf &&
-        (node.left <= self || node.right <= self || node.left >= count ||
-         node.right >= count || node.feature >= num_features)) {
+    if (!is_leaf && (left <= self || right <= self || left >= count ||
+                     right >= count || feature >= num_features ||
+                     feature > UINT32_MAX)) {
       return Status::InvalidArgument("decision tree node out of range");
     }
+    tree.AppendNode(is_leaf, feature, threshold, left, right, label,
+                    {impurity_decrease, num_samples});
   }
   tree.fitted_ = true;
   return tree;
@@ -358,10 +378,10 @@ Result<DecisionTree> DecisionTree::DeserializeBinary(io::ByteReader& in) {
 std::vector<double> DecisionTree::FeatureImportances() const {
   std::vector<double> importances(num_features_, 0.0);
   double total = 0.0;
-  for (const Node& node : nodes_) {
-    if (!node.is_leaf) {
-      importances[node.feature] += node.impurity_decrease;
-      total += node.impurity_decrease;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_[i].is_leaf()) {
+      importances[nodes_[i].feature] += stats_[i].impurity_decrease;
+      total += stats_[i].impurity_decrease;
     }
   }
   if (total > 0.0) {

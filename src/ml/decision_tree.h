@@ -85,19 +85,33 @@ class DecisionTree : public Classifier {
   static Result<DecisionTree> DeserializeBinary(io::ByteReader& in);
 
  private:
-  struct Node {
-    // Internal node fields (valid when is_leaf == false).
-    size_t feature = 0;
-    double threshold = 0.0;   // Goes left if x[feature] <= threshold.
-    int32_t left = -1;
-    int32_t right = -1;
-    // Leaf field.
-    int label = 0;
-    bool is_leaf = true;
-    // Bookkeeping for importances.
-    double impurity_decrease = 0.0;
-    size_t num_samples = 0;
+  // The record PredictRow walks: the split and the node's majority label,
+  // packed into 24 bytes. children[0] is the left child (taken when
+  // x[feature] <= threshold), children[1] the right one; a negative left
+  // child marks a leaf, whose split fields keep the fitted defaults
+  // (0, 0.0, -1, -1).
+  struct PredictNode {
+    double threshold = 0.0;
+    uint32_t feature = 0;
+    int32_t children[2] = {-1, -1};
+    int32_t label = 0;
+
+    bool is_leaf() const { return children[0] < 0; }
   };
+  static_assert(sizeof(PredictNode) == 24, "PredictNode must stay packed");
+
+  // Training bookkeeping for importances, parallel to nodes_ and read only
+  // by FeatureImportances and the serializers.
+  struct NodeStats {
+    double impurity_decrease = 0.0;
+    uint64_t num_samples = 0;
+  };
+
+  // Appends one node read from either serialized form. Leaves drop their
+  // split fields (see PredictNode).
+  void AppendNode(bool is_leaf, uint64_t feature, double threshold,
+                  int32_t left, int32_t right, int32_t label,
+                  NodeStats stats);
 
   int32_t BuildNode(const Dataset& train, std::vector<size_t>& indices,
                     size_t depth, Rng& rng);
@@ -105,7 +119,8 @@ class DecisionTree : public Classifier {
   DecisionTreeConfig config_;
   size_t num_features_ = 0;
   size_t num_classes_ = 0;
-  std::vector<Node> nodes_;
+  std::vector<PredictNode> nodes_;
+  std::vector<NodeStats> stats_;
   bool fitted_ = false;
 };
 

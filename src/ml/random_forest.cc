@@ -41,7 +41,8 @@ void RandomForest::Fit(const Dataset& train) {
     // Bootstrap samples can miss the highest label; fit against a dataset
     // that remembers the global class count via an appended no-op example
     // would skew training, so instead trees simply vote over their own
-    // label space and the argmax below runs over the global class count.
+    // label space and the vote below checks labels against the global
+    // class count.
     tree.Fit(sample);
     trees_.push_back(std::move(tree));
   }
@@ -55,15 +56,29 @@ int RandomForest::Predict(const std::vector<double>& features) const {
 }
 
 int RandomForest::PredictRow(const double* features) const {
-  thread_local std::vector<size_t> votes;
-  votes.assign(num_classes_, 0);
-  for (const DecisionTree& tree : trees_) {
-    const int label = tree.PredictRow(features);
+  // Vote over the trees, not the classes: sort the num_trees labels and
+  // take the longest run, so a row costs O(trees) however many classes
+  // there are. Runs are visited in ascending label order and only a
+  // strictly longer one replaces the best, so ties go to the smallest
+  // label, as a first-max scan over a per-class histogram would pick.
+  thread_local std::vector<int> labels;
+  labels.resize(trees_.size());
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    const int label = trees_[t].PredictRow(features);
     OPTHASH_CHECK_LT(static_cast<size_t>(label), num_classes_);
-    ++votes[static_cast<size_t>(label)];
+    labels[t] = label;
   }
-  return static_cast<int>(
-      std::max_element(votes.begin(), votes.end()) - votes.begin());
+  std::sort(labels.begin(), labels.end());
+  int best_label = labels.front();
+  size_t best_run = 0;
+  for (size_t begin = 0, end = 0; begin < labels.size(); begin = end) {
+    while (end < labels.size() && labels[end] == labels[begin]) ++end;
+    if (end - begin > best_run) {
+      best_run = end - begin;
+      best_label = labels[begin];
+    }
+  }
+  return best_label;
 }
 
 void RandomForest::PredictBatch(const Matrix& rows, Span<int> out) const {

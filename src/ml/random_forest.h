@@ -37,8 +37,10 @@ class RandomForest : public Classifier {
   int Predict(const std::vector<double>& features) const override;
 
   /// Raw-pointer scalar prediction over num_features doubles: majority
-  /// vote accumulated in thread-local scratch, never allocating in steady
-  /// state. Predict and PredictBatch route through it.
+  /// vote over the trees' labels (ties to the smallest label), sorted in
+  /// thread-local scratch of num_trees entries, so it costs O(trees) and
+  /// never allocates in steady state. Predict and PredictBatch route
+  /// through it.
   int PredictRow(const double* features) const;
 
   /// Allocation-free row loop over the matrix (see Classifier docs).

@@ -1,12 +1,104 @@
 #include "stream/features.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/check.h"
 
 namespace opthash::stream {
+
+namespace {
+
+// Byte classes the featurizer reads, one bit each.
+constexpr uint8_t kAlnum = 1u << 0;
+constexpr uint8_t kPunct = 1u << 1;
+constexpr uint8_t kSpace = 1u << 2;
+
+struct ByteClass {
+  uint8_t flags = 0;
+  char lower = 0;
+};
+
+using ByteTable = std::array<ByteClass, 256>;
+
+// The token rule and the count features' classes, built once from
+// <cctype>. Nothing in the library calls setlocale, so this is the "C"
+// locale: ASCII letters and digits form tokens, bytes >= 0x80 never do.
+const ByteTable& ByteClasses() {
+  static const ByteTable table = [] {
+    ByteTable classes{};
+    for (int byte = 0; byte < 256; ++byte) {
+      ByteClass& entry = classes[static_cast<size_t>(byte)];
+      if (std::isalnum(byte)) entry.flags |= kAlnum;
+      if (std::ispunct(byte)) entry.flags |= kPunct;
+      if (std::isspace(byte)) entry.flags |= kSpace;
+      entry.lower = static_cast<char>(std::tolower(byte));
+    }
+    return classes;
+  }();
+  return table;
+}
+
+char LowerOf(const ByteTable& classes, char ch) {
+  return classes[static_cast<unsigned char>(ch)].lower;
+}
+
+// FNV-1a over a token's lowercased bytes, one step per byte of the scan.
+constexpr uint64_t kHashSeed = 0xcbf29ce484222325ULL;
+
+uint64_t HashStep(uint64_t hash, char lowered) {
+  return (hash ^ static_cast<unsigned char>(lowered)) * 0x100000001b3ULL;
+}
+
+// The one character pass behind Tokenize and Featurize: on_byte(byte,
+// flags) for every byte of `text`, and on_token(begin, length, hash) for
+// every maximal run of alphanumeric bytes, `hash` being the FNV-1a hash of
+// the run lowercased.
+template <typename ByteFn, typename TokenFn>
+void ScanText(const std::string& text, ByteFn on_byte, TokenFn on_token) {
+  const ByteTable& classes = ByteClasses();
+  const char* data = text.data();
+  size_t begin = 0;
+  size_t length = 0;
+  uint64_t hash = kHashSeed;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(data[i]);
+    const ByteClass entry = classes[byte];
+    if ((entry.flags & kAlnum) != 0) {
+      if (length == 0) begin = i;
+      ++length;
+      hash = HashStep(hash, entry.lower);
+    } else if (length != 0) {
+      on_token(data + begin, length, hash);
+      length = 0;
+      hash = kHashSeed;
+    }
+    on_byte(byte, entry.flags);
+  }
+  if (length != 0) on_token(data + begin, length, hash);
+}
+
+// Calls on_token(token) with every token of `text` lowercased, built in
+// the caller's reused `buffer`.
+template <typename TokenFn>
+void ForEachToken(const std::string& text, std::string& buffer,
+                  TokenFn on_token) {
+  const ByteTable& classes = ByteClasses();
+  ScanText(
+      text, [](unsigned char /*byte*/, uint8_t /*flags*/) {},
+      [&](const char* begin, size_t length, uint64_t /*hash*/) {
+        buffer.resize(length);
+        for (size_t i = 0; i < length; ++i) {
+          buffer[i] = LowerOf(classes, begin[i]);
+        }
+        on_token(buffer);
+      });
+}
+
+}  // namespace
 
 BagOfWordsFeaturizer::BagOfWordsFeaturizer(size_t vocabulary_size)
     : vocabulary_size_(vocabulary_size) {}
@@ -14,27 +106,70 @@ BagOfWordsFeaturizer::BagOfWordsFeaturizer(size_t vocabulary_size)
 std::vector<std::string> BagOfWordsFeaturizer::Tokenize(
     const std::string& text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char ch : text) {
-    if (std::isalnum(static_cast<unsigned char>(ch))) {
-      current += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(ch)));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
+  std::string buffer;
+  ForEachToken(text, buffer,
+               [&](const std::string& token) { tokens.push_back(token); });
+  return tokens;
+}
+
+void BagOfWordsFeaturizer::BuildIndex() {
+  const ByteTable& classes = ByteClasses();
+  OPTHASH_CHECK_LT(vocabulary_.size(), size_t{UINT32_MAX});
+  size_t capacity = 8;
+  while (capacity < 2 * vocabulary_.size()) capacity *= 2;
+  index_.assign(capacity, IndexSlot{});
+  max_token_length_ = 0;
+  for (size_t t = 0; t < vocabulary_.size(); ++t) {
+    const std::string& token = vocabulary_[t];
+    // Only non-empty lowercase alphanumeric tokens come out of the scan;
+    // any other entry (a hand-written file may hold one) can never match.
+    const bool scannable =
+        !token.empty() && std::all_of(token.begin(), token.end(), [&](char c) {
+          const ByteClass& entry = classes[static_cast<unsigned char>(c)];
+          return (entry.flags & kAlnum) != 0 && entry.lower == c;
+        });
+    if (!scannable) continue;
+    uint64_t hash = kHashSeed;
+    for (char c : token) hash = HashStep(hash, c);
+    IndexSlot& slot = index_[ProbeSlot(token.data(), token.size(), hash)];
+    // A repeated token keeps its first index.
+    if (slot.token_plus_one != 0) continue;
+    slot.hash_tag = static_cast<uint32_t>(hash >> 32);
+    slot.token_plus_one = static_cast<uint32_t>(t + 1);
+    max_token_length_ = std::max(max_token_length_, token.size());
+  }
+}
+
+size_t BagOfWordsFeaturizer::ProbeSlot(const char* begin, size_t length,
+                                       uint64_t hash) const {
+  const ByteTable& classes = ByteClasses();
+  const size_t mask = index_.size() - 1;
+  const auto tag = static_cast<uint32_t>(hash >> 32);
+  // Load factor <= 1/2, so the probe always reaches an empty slot.
+  for (size_t slot = static_cast<size_t>(hash ^ (hash >> 32)) & mask;;
+       slot = (slot + 1) & mask) {
+    const IndexSlot entry = index_[slot];
+    if (entry.token_plus_one == 0) return slot;
+    if (entry.hash_tag != tag) continue;
+    const std::string& token = vocabulary_[entry.token_plus_one - 1];
+    if (token.size() == length &&
+        std::equal(begin, begin + length, token.begin(),
+                   [&](char scanned, char stored) {
+                     return LowerOf(classes, scanned) == stored;
+                   })) {
+      return slot;
     }
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
 }
 
 void BagOfWordsFeaturizer::Fit(
     const std::vector<std::pair<std::string, double>>& weighted_texts) {
   std::unordered_map<std::string, double> token_weight;
+  std::string buffer;
   for (const auto& [text, weight] : weighted_texts) {
-    for (const std::string& token : Tokenize(text)) {
-      token_weight[token] += weight;
-    }
+    ForEachToken(text, buffer, [&, w = weight](const std::string& token) {
+      token_weight[token] += w;
+    });
   }
   std::vector<std::pair<std::string, double>> ranked(token_weight.begin(),
                                                      token_weight.end());
@@ -45,19 +180,17 @@ void BagOfWordsFeaturizer::Fit(
   if (ranked.size() > vocabulary_size_) ranked.resize(vocabulary_size_);
 
   vocabulary_.clear();
-  token_index_.clear();
   vocabulary_.reserve(ranked.size());
-  for (const auto& [token, weight] : ranked) {
-    token_index_.emplace(token, vocabulary_.size());
-    vocabulary_.push_back(token);
-  }
+  for (const auto& [token, weight] : ranked) vocabulary_.push_back(token);
+  BuildIndex();
   fitted_ = true;
 }
 
 std::vector<double> BagOfWordsFeaturizer::Featurize(
     const std::string& text) const {
-  std::vector<double> features;
-  Featurize(text, features);
+  OPTHASH_CHECK_MSG(fitted_, "Featurize before Fit");
+  std::vector<double> features(FeatureDim(), 0.0);
+  FeaturizeZeroed(text, Span<double>(features.data(), features.size()));
   return features;
 }
 
@@ -74,39 +207,34 @@ void BagOfWordsFeaturizer::Featurize(const std::string& text,
   OPTHASH_CHECK_MSG(fitted_, "Featurize before Fit");
   OPTHASH_CHECK_EQ(out.size(), FeatureDim());
   std::fill(out.begin(), out.end(), 0.0);
-  // Inline tokenization: identical token stream to Tokenize(), but the
-  // token lives in one reused local buffer instead of a heap-allocated
-  // vector of strings.
-  std::string token;
-  const auto flush_token = [&] {
-    if (token.empty()) return;
-    auto it = token_index_.find(token);
-    if (it != token_index_.end()) out[it->second] += 1.0;
-    token.clear();
-  };
+  FeaturizeZeroed(text, out);
+}
+
+void BagOfWordsFeaturizer::FeaturizeZeroed(const std::string& text,
+                                           Span<double> out) const {
   // The four §7.3 count features, folded into the same character pass.
-  double chars = 0.0;
-  double punctuation = 0.0;
-  double dots = 0.0;
-  double spaces = 0.0;
-  for (char ch : text) {
-    const auto uch = static_cast<unsigned char>(ch);
-    if (std::isalnum(uch)) {
-      token += static_cast<char>(std::tolower(uch));
-    } else {
-      flush_token();
-    }
-    if (uch < 128) chars += 1.0;
-    if (std::ispunct(uch)) punctuation += 1.0;
-    if (ch == '.') dots += 1.0;
-    if (std::isspace(uch)) spaces += 1.0;
-  }
-  flush_token();
+  size_t chars = 0;
+  size_t punctuation = 0;
+  size_t dots = 0;
+  size_t spaces = 0;
+  ScanText(
+      text,
+      [&](unsigned char byte, uint8_t flags) {
+        chars += byte < 128 ? 1 : 0;
+        punctuation += (flags & kPunct) != 0 ? 1 : 0;
+        dots += byte == '.' ? 1 : 0;
+        spaces += (flags & kSpace) != 0 ? 1 : 0;
+      },
+      [&](const char* begin, size_t length, uint64_t hash) {
+        if (length > max_token_length_) return;
+        const IndexSlot entry = index_[ProbeSlot(begin, length, hash)];
+        if (entry.token_plus_one != 0) out[entry.token_plus_one - 1] += 1.0;
+      });
   const size_t base = vocabulary_.size();
-  out[base + 0] = chars;
-  out[base + 1] = punctuation;
-  out[base + 2] = dots;
-  out[base + 3] = spaces;
+  out[base + 0] = static_cast<double>(chars);
+  out[base + 1] = static_cast<double>(punctuation);
+  out[base + 2] = static_cast<double>(dots);
+  out[base + 3] = static_cast<double>(spaces);
 }
 
 namespace {
@@ -149,9 +277,9 @@ Result<BagOfWordsFeaturizer> BagOfWordsFeaturizer::DeserializeFrom(
     if (!(in >> token)) {
       return Status::InvalidArgument("truncated featurizer vocabulary");
     }
-    featurizer.token_index_.emplace(token, featurizer.vocabulary_.size());
     featurizer.vocabulary_.push_back(std::move(token));
   }
+  featurizer.BuildIndex();
   featurizer.fitted_ = true;
   return featurizer;
 }
@@ -200,10 +328,9 @@ Result<BagOfWordsFeaturizer> BagOfWordsFeaturizer::DeserializeBinary(
   for (uint64_t t = 0; t < count; ++t) {
     auto token = in.ReadString();
     if (!token.ok()) return token.status();
-    featurizer.token_index_.emplace(token.value(),
-                                    featurizer.vocabulary_.size());
     featurizer.vocabulary_.push_back(std::move(token).value());
   }
+  featurizer.BuildIndex();
   featurizer.fitted_ = true;
   return featurizer;
 }

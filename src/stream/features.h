@@ -1,9 +1,9 @@
 #ifndef OPTHASH_STREAM_FEATURES_H_
 #define OPTHASH_STREAM_FEATURES_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/span.h"
@@ -16,6 +16,11 @@ namespace opthash::stream {
 /// approach [keeping] the 500 most common words in the training queries",
 /// plus four counts — ASCII characters, punctuation marks, dots, and
 /// whitespaces.
+///
+/// A token is a maximal run of bytes that are alphanumeric in the "C"
+/// locale, lowercased there; bytes >= 0x80 never join a token. One
+/// 256-entry byte table carries that rule and the count features' classes,
+/// and both Tokenize and Featurize scan through it.
 class BagOfWordsFeaturizer {
  public:
   /// \param vocabulary_size number of most-common tokens to keep.
@@ -30,18 +35,15 @@ class BagOfWordsFeaturizer {
 
   /// Out-parameter overload for the batched/hot query path: fills `out`
   /// (resized to FeatureDim() on first use, reused afterwards) instead of
-  /// returning a fresh dense vector. Tokenization happens inline against
-  /// a small stack buffer rather than through Tokenize's vector of
-  /// strings, so a warm call performs no heap allocation for any token
-  /// that fits the small-string optimization (all Tokenize output is
-  /// lowercase alphanumeric; natural-language tokens virtually always
-  /// fit). Results are identical to the returning overload.
+  /// returning a fresh dense vector. Results are identical to the
+  /// returning overload.
   void Featurize(const std::string& text, std::vector<double>& out) const;
 
   /// Raw-row overload: writes exactly FeatureDim() doubles into `out`
   /// (which must have that size), e.g. one scratch-matrix row of the
-  /// estimator's lazy-featurizing batch path. Never allocates beyond the
-  /// tokenizer's small-string buffer.
+  /// estimator's lazy-featurizing batch path. One pass over the text:
+  /// each token is hashed while it is scanned and looked up in the
+  /// vocabulary index, with no token copy and no allocation.
   void Featurize(const std::string& text, Span<double> out) const;
 
   /// Feature dimension = |vocabulary| + 4.
@@ -53,7 +55,7 @@ class BagOfWordsFeaturizer {
   bool fitted() const { return fitted_; }
   size_t VocabularySize() const { return vocabulary_.size(); }
 
-  /// Lowercased alphanumeric tokens of a text.
+  /// Lowercased alphanumeric tokens of a text (see the class comment).
   static std::vector<std::string> Tokenize(const std::string& text);
 
   /// Portable text serialization of the fitted vocabulary, so a deployed
@@ -74,9 +76,29 @@ class BagOfWordsFeaturizer {
   static Result<BagOfWordsFeaturizer> DeserializeBinary(io::ByteReader& in);
 
  private:
+  // One open-addressed slot of the vocabulary index: the upper half of
+  // the token's scan hash and its vocabulary index + 1 (0 = empty).
+  struct IndexSlot {
+    uint32_t hash_tag = 0;
+    uint32_t token_plus_one = 0;
+  };
+
+  // Featurize into a row that is already all zeros.
+  void FeaturizeZeroed(const std::string& text, Span<double> out) const;
+
+  // Rebuilds index_ and max_token_length_ from vocabulary_; every path
+  // that sets vocabulary_ (Fit and both readers) ends with it.
+  void BuildIndex();
+
+  // Probes index_ for the token [begin, begin + length) as the scan
+  // lowercases it, `hash` being its scan hash. Returns the slot holding
+  // it, or the empty slot that ends the probe when it is absent.
+  size_t ProbeSlot(const char* begin, size_t length, uint64_t hash) const;
+
   size_t vocabulary_size_;
-  std::vector<std::string> vocabulary_;               // Index -> token.
-  std::unordered_map<std::string, size_t> token_index_;
+  std::vector<std::string> vocabulary_;  // Index -> token.
+  std::vector<IndexSlot> index_;         // Power-of-two size, linear probe.
+  size_t max_token_length_ = 0;          // Longer tokens cannot match.
   bool fitted_ = false;
 };
 

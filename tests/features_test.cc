@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <unordered_map>
+
+#include "common/random.h"
+#include "io/bytes.h"
 #include "stream/query_log.h"
 
 namespace opthash::stream {
@@ -31,6 +36,44 @@ TEST(TokenizeTest, KeepsDigits) {
   const auto tokens = BagOfWordsFeaturizer::Tokenize("area 51");
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[1], "51");
+}
+
+// The token rule written straight from <cctype>, one byte at a time.
+std::vector<std::string> CctypeTokens(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::string current;
+  for (char ch : text) {
+    const auto byte = static_cast<unsigned char>(ch);
+    if (std::isalnum(byte)) {
+      current += static_cast<char>(std::tolower(byte));
+    } else if (!current.empty()) {
+      tokens.push_back(current);
+      current.clear();
+    }
+  }
+  if (!current.empty()) tokens.push_back(current);
+  return tokens;
+}
+
+TEST(TokenizeTest, MatchesCctypeOnEveryByte) {
+  Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<char> bytes;
+    for (int byte = 0; byte < 256; ++byte) {
+      bytes.push_back(static_cast<char>(byte));
+    }
+    rng.Shuffle(bytes);
+    const std::string text(bytes.begin(), bytes.end());
+    EXPECT_EQ(BagOfWordsFeaturizer::Tokenize(text), CctypeTokens(text));
+  }
+}
+
+TEST(TokenizeTest, HighBytesNeverJoinATokenInTheCLocale) {
+  const auto tokens = BagOfWordsFeaturizer::Tokenize("caf\xc3\xa9 na\xefve");
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0], "caf");
+  EXPECT_EQ(tokens[1], "na");
+  EXPECT_EQ(tokens[2], "ve");
 }
 
 TEST(BagOfWordsTest, VocabularyIsTopKByWeight) {
@@ -153,6 +196,148 @@ TEST(BagOfWordsTest, QueryLogIntegrationVocabularyContainsDomainTokens) {
   EXPECT_TRUE(has_google);
   EXPECT_TRUE(has_www);
   EXPECT_TRUE(has_com);
+}
+
+// Reference featurization from the definitions: Tokenize, a map lookup
+// per token, and the four counts straight from <cctype>.
+std::vector<double> ReferenceFeatures(const BagOfWordsFeaturizer& featurizer,
+                                      const std::string& text) {
+  std::unordered_map<std::string, size_t> index;
+  for (size_t i = 0; i < featurizer.VocabularySize(); ++i) {
+    index.emplace(featurizer.FeatureName(i).substr(5), i);  // "word:"
+  }
+  std::vector<double> out(featurizer.FeatureDim(), 0.0);
+  for (const std::string& token : BagOfWordsFeaturizer::Tokenize(text)) {
+    const auto it = index.find(token);
+    if (it != index.end()) out[it->second] += 1.0;
+  }
+  const size_t base = featurizer.VocabularySize();
+  for (char ch : text) {
+    const auto byte = static_cast<unsigned char>(ch);
+    if (byte < 128) out[base + 0] += 1.0;
+    if (std::ispunct(byte)) out[base + 1] += 1.0;
+    if (ch == '.') out[base + 2] += 1.0;
+    if (std::isspace(byte)) out[base + 3] += 1.0;
+  }
+  return out;
+}
+
+std::string RandomWord(Rng& rng, size_t min_length, size_t max_length) {
+  static const std::string kAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789";
+  const size_t length =
+      min_length + rng.NextBounded(max_length - min_length + 1);
+  std::string word;
+  for (size_t i = 0; i < length; ++i) {
+    word += kAlphabet[rng.NextBounded(kAlphabet.size())];
+  }
+  return word;
+}
+
+// Texts mixing vocabulary words in random case, unknown words, words
+// longer than any vocabulary token, punctuation, whitespace and bytes
+// >= 0x80, plus the empty and punctuation-only edge cases.
+std::vector<std::string> DifferentialTexts(
+    const std::vector<std::string>& words, Rng& rng) {
+  std::vector<std::string> texts = {"",
+                                    "...!?",
+                                    " \t\n ",
+                                    "\x80\xff\xc3\xa9",
+                                    "WWW.Google.COM? area51 51AREA",
+                                    std::string(100, 'a'),
+                                    words.front() + words.front()};
+  static const std::string kSeparators = " .,-?!\t/:\x80\xa0\xe9\xff";
+  for (int t = 0; t < 500; ++t) {
+    std::string text;
+    const size_t pieces = rng.NextBounded(12);
+    for (size_t p = 0; p < pieces; ++p) {
+      std::string piece;
+      switch (rng.NextBounded(3)) {
+        case 0:
+          piece = words[rng.NextBounded(words.size())];
+          break;
+        case 1:
+          piece = RandomWord(rng, 1, 6);
+          break;
+        default:
+          piece = RandomWord(rng, 9, 30);  // Longer than every vocab word.
+          break;
+      }
+      for (char& ch : piece) {
+        if (rng.NextBounded(3) == 0) {
+          ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+        }
+      }
+      text += piece;
+      text += kSeparators[rng.NextBounded(kSeparators.size())];
+    }
+    texts.push_back(text);
+  }
+  return texts;
+}
+
+void ExpectMatchesReference(const BagOfWordsFeaturizer& featurizer,
+                            const std::vector<std::string>& texts,
+                            const char* label) {
+  SCOPED_TRACE(label);
+  std::vector<double> row;
+  for (const std::string& text : texts) {
+    featurizer.Featurize(text, row);
+    ASSERT_EQ(row, ReferenceFeatures(featurizer, text)) << "text: " << text;
+  }
+}
+
+TEST(BagOfWordsTest, ScannerMatchesTokenizeReferenceOnEveryLoadPath) {
+  // 1 500 kept tokens of up to 8 bytes: the index holds them at load
+  // <= 1/2, so many share a probe chain.
+  Rng rng(11);
+  std::vector<std::pair<std::string, double>> corpus;
+  for (int i = 0; i < 3000; ++i) {
+    corpus.push_back({RandomWord(rng, 1, 8) + " " + RandomWord(rng, 1, 8),
+                      static_cast<double>(1 + rng.NextBounded(50))});
+  }
+  BagOfWordsFeaturizer featurizer(1500);
+  featurizer.Fit(corpus);
+  ASSERT_EQ(featurizer.VocabularySize(), 1500u);
+  std::vector<std::string> words;
+  for (size_t i = 0; i < featurizer.VocabularySize(); ++i) {
+    words.push_back(featurizer.FeatureName(i).substr(5));
+  }
+  const std::vector<std::string> texts = DifferentialTexts(words, rng);
+
+  ExpectMatchesReference(featurizer, texts, "fitted");
+
+  auto from_text = BagOfWordsFeaturizer::Deserialize(featurizer.Serialize());
+  ASSERT_TRUE(from_text.ok());
+  ExpectMatchesReference(from_text.value(), texts, "text format");
+
+  io::ByteWriter writer;
+  featurizer.SerializeBinary(writer);
+  io::ByteReader reader(writer.bytes().data(), writer.bytes().size());
+  auto from_binary = BagOfWordsFeaturizer::DeserializeBinary(reader);
+  ASSERT_TRUE(from_binary.ok());
+  ExpectMatchesReference(from_binary.value(), texts, "binary format");
+
+  const BagOfWordsFeaturizer copy = featurizer;
+  ExpectMatchesReference(copy, texts, "copy");
+}
+
+TEST(BagOfWordsTest, RepeatedVocabularyTokenCountsAtItsFirstIndex) {
+  io::ByteWriter writer;
+  writer.WriteU32(1);  // payload version
+  writer.WriteU32(0);  // reserved
+  writer.WriteU64(4);  // cap
+  writer.WriteU64(4);  // token count
+  for (const char* token : {"dog", "cat", "dog", "Cat"}) {
+    writer.WriteString(token);
+  }
+  io::ByteReader reader(writer.bytes().data(), writer.bytes().size());
+  auto featurizer = BagOfWordsFeaturizer::DeserializeBinary(reader);
+  ASSERT_TRUE(featurizer.ok());
+  const std::vector<double> row = featurizer.value().Featurize("Dog dog CAT");
+  EXPECT_DOUBLE_EQ(row[0], 2.0);
+  EXPECT_DOUBLE_EQ(row[1], 1.0);
+  EXPECT_DOUBLE_EQ(row[2], 0.0);
+  EXPECT_DOUBLE_EQ(row[3], 0.0);  // Never produced by the lowercasing scan.
 }
 
 }  // namespace

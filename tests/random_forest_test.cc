@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/random.h"
 #include "ml/metrics.h"
 
@@ -109,6 +112,61 @@ TEST(RandomForestTest, MaxFeaturesDefaultsToSqrt) {
 TEST(RandomForestTest, NameIsRf) {
   RandomForest forest;
   EXPECT_STREQ(forest.Name(), "rf");
+}
+
+// A forest of single-leaf trees in the text format: tree t answers
+// labels[t] for every row.
+std::string LeafForestText(const std::vector<int>& labels,
+                           size_t num_classes) {
+  std::string text = "opthash.rf.v1 " + std::to_string(num_classes) + " 2 " +
+                     std::to_string(labels.size()) + "\n";
+  for (int label : labels) {
+    text += "opthash.cart.v1 2 " + std::to_string(num_classes) + " 1\n";
+    text += "1 0 0 -1 -1 " + std::to_string(label) + " 0 1\n";
+  }
+  return text;
+}
+
+TEST(RandomForestTest, TiedVoteGoesToTheSmallestLabel) {
+  auto forest = RandomForest::Deserialize(LeafForestText({7, 3, 7, 3}, 1500));
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(forest.value().Predict({0.0, 0.0}), 3);
+}
+
+TEST(RandomForestTest, VoteMatchesFirstMaxOfAClassHistogram) {
+  Rng rng(9);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t num_classes = 1 + rng.NextBounded(40);
+    std::vector<int> labels(1 + rng.NextBounded(12));
+    for (int& label : labels) {
+      label = static_cast<int>(rng.NextBounded(num_classes));
+    }
+    std::vector<size_t> votes(num_classes, 0);
+    for (int label : labels) ++votes[static_cast<size_t>(label)];
+    const auto expected = static_cast<int>(
+        std::max_element(votes.begin(), votes.end()) - votes.begin());
+    auto forest =
+        RandomForest::Deserialize(LeafForestText(labels, num_classes));
+    ASSERT_TRUE(forest.ok());
+    EXPECT_EQ(forest.value().Predict({0.0, 0.0}), expected);
+  }
+}
+
+TEST(RandomForestTest, PredictBatchMatchesPredictRowWithMoreClassesThanTrees) {
+  const Dataset data = NoisyBlobs(20, 12, 0.8, 8);
+  RandomForestConfig config;
+  config.num_trees = 5;
+  RandomForest forest(config);
+  forest.Fit(data);
+  Matrix rows(data.NumExamples(), data.NumFeatures());
+  for (size_t i = 0; i < data.NumExamples(); ++i) {
+    std::copy(data.Features(i).begin(), data.Features(i).end(), rows.Row(i));
+  }
+  std::vector<int> batch(data.NumExamples());
+  forest.PredictBatch(rows, Span<int>(batch.data(), batch.size()));
+  for (size_t i = 0; i < data.NumExamples(); ++i) {
+    EXPECT_EQ(batch[i], forest.PredictRow(rows.Row(i))) << "row " << i;
+  }
 }
 
 }  // namespace

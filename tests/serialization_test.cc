@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "core/opt_hash_estimator.h"
+#include "io/bytes.h"
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
@@ -66,6 +67,52 @@ TEST(SerializationTest, RandomForestRoundTrip) {
   }
 }
 
+// Random rows around the blobs, most of them never seen in training.
+std::vector<std::vector<double>> RandomRows(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows(n);
+  for (auto& row : rows) {
+    for (int f = 0; f < 3; ++f) row.push_back(4.0 * rng.NextGaussian());
+  }
+  return rows;
+}
+
+// Restores `model` from its text and its binary form and checks both
+// predict like the fitted model and write the same bytes back.
+template <typename Model>
+void ExpectEveryLoadPathPredictsLikeFitted(const Model& model) {
+  auto from_text = Model::Deserialize(model.Serialize());
+  ASSERT_TRUE(from_text.ok());
+  io::ByteWriter writer;
+  model.SerializeBinary(writer);
+  io::ByteReader reader(writer.bytes().data(), writer.bytes().size());
+  auto from_binary = Model::DeserializeBinary(reader);
+  ASSERT_TRUE(from_binary.ok());
+  for (const auto& row : RandomRows(2000, 21)) {
+    const int expected = model.Predict(row);
+    EXPECT_EQ(from_text.value().Predict(row), expected);
+    EXPECT_EQ(from_binary.value().Predict(row), expected);
+  }
+  EXPECT_EQ(from_text.value().Serialize(), model.Serialize());
+  io::ByteWriter rewritten;
+  from_binary.value().SerializeBinary(rewritten);
+  EXPECT_EQ(rewritten.bytes(), writer.bytes());
+}
+
+TEST(SerializationTest, DecisionTreePredictsAlikeFromEveryFormat) {
+  ml::DecisionTree tree;
+  tree.Fit(Blobs(300, 5, 8));
+  ExpectEveryLoadPathPredictsLikeFitted(tree);
+}
+
+TEST(SerializationTest, RandomForestPredictsAlikeFromEveryFormat) {
+  ml::RandomForestConfig config;
+  config.num_trees = 9;
+  ml::RandomForest forest(config);
+  forest.Fit(Blobs(300, 5, 9));
+  ExpectEveryLoadPathPredictsLikeFitted(forest);
+}
+
 TEST(SerializationTest, LogisticRegressionRoundTrip) {
   const ml::Dataset data = Blobs(150, 3, 4);
   ml::LogisticRegression model;
@@ -94,6 +141,11 @@ TEST(SerializationTest, RejectsOutOfRangeNodes) {
   const std::string bad =
       "opthash.cart.v1 2 2 1\n0 0 0.5 7 8 0 0.1 10\n";
   EXPECT_FALSE(ml::DecisionTree::Deserialize(bad).ok());
+  // A split feature index wider than the 32 bits a node holds.
+  const std::string wide =
+      "opthash.cart.v1 8589934592 2 3\n0 4294967296 0.5 1 2 0 0.1 10\n"
+      "1 0 0 -1 -1 0 0 5\n1 0 0 -1 -1 1 0 5\n";
+  EXPECT_FALSE(ml::DecisionTree::Deserialize(wide).ok());
 }
 
 std::vector<core::PrefixElement> EstimatorPrefix(uint64_t seed) {
