@@ -37,7 +37,7 @@ DecisionTree::DecisionTree(DecisionTreeConfig config) : config_(config) {
 void DecisionTree::Fit(const Dataset& train) {
   OPTHASH_CHECK_GT(train.NumExamples(), 0u);
   num_features_ = train.NumFeatures();
-  OPTHASH_CHECK_LE(num_features_, size_t{UINT32_MAX});
+  OPTHASH_CHECK_LE(num_features_, size_t{kLeafFeature});
   num_classes_ = std::max<size_t>(train.NumClasses(), 1);
   nodes_.clear();
   stats_.clear();
@@ -226,7 +226,8 @@ void DecisionTree::SerializeTo(std::ostream& out) const {
   out << std::setprecision(17);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const PredictNode& node = nodes_[i];
-    out << (node.is_leaf() ? 1 : 0) << ' ' << node.feature << ' '
+    out << (node.is_leaf() ? 1 : 0) << ' '
+        << (node.is_leaf() ? 0u : node.feature) << ' '
         << node.threshold << ' ' << node.children[0] << ' '
         << node.children[1] << ' ' << node.label << ' '
         << stats_[i].impurity_decrease << ' ' << stats_[i].num_samples
@@ -272,7 +273,7 @@ Result<DecisionTree> DecisionTree::DeserializeFrom(std::istream& in) {
     const auto count = static_cast<int32_t>(node_count);
     if (is_leaf == 0 &&
         (left < 0 || right < 0 || left >= count || right >= count ||
-         feature >= num_features || feature > UINT32_MAX)) {
+         feature >= num_features || feature >= kLeafFeature)) {
       return Status::InvalidArgument("decision tree node out of range");
     }
     tree.AppendNode(is_leaf != 0, feature, threshold, left, right, label,
@@ -302,7 +303,7 @@ void DecisionTree::SerializeBinary(io::ByteWriter& out) const {
   out.WriteU64(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const PredictNode& node = nodes_[i];
-    out.WriteU64(node.feature);
+    out.WriteU64(node.is_leaf() ? 0u : node.feature);
     out.WriteDouble(node.threshold);
     out.WriteI32(node.children[0]);
     out.WriteI32(node.children[1]);
@@ -365,7 +366,7 @@ Result<DecisionTree> DecisionTree::DeserializeBinary(io::ByteReader& in) {
     const auto count = static_cast<int32_t>(node_count);
     if (!is_leaf && (left <= self || right <= self || left >= count ||
                      right >= count || feature >= num_features ||
-                     feature > UINT32_MAX)) {
+                     feature >= kLeafFeature)) {
       return Status::InvalidArgument("decision tree node out of range");
     }
     tree.AppendNode(is_leaf, feature, threshold, left, right, label,

@@ -87,16 +87,17 @@ class DecisionTree : public Classifier {
  private:
   // The record PredictRow walks: the split and the node's majority label,
   // packed into 24 bytes. children[0] is the left child (taken when
-  // x[feature] <= threshold), children[1] the right one; a negative left
-  // child marks a leaf, whose split fields keep the fitted defaults
-  // (0, 0.0, -1, -1).
+  // x[feature] <= threshold), children[1] the right one. A leaf holds
+  // kLeafFeature, so the walk's one feature load also ends it; its other
+  // split fields keep the fitted defaults (0.0, -1, -1).
+  static constexpr uint32_t kLeafFeature = UINT32_MAX;
   struct PredictNode {
     double threshold = 0.0;
-    uint32_t feature = 0;
+    uint32_t feature = kLeafFeature;
     int32_t children[2] = {-1, -1};
     int32_t label = 0;
 
-    bool is_leaf() const { return children[0] < 0; }
+    bool is_leaf() const { return feature == kLeafFeature; }
   };
   static_assert(sizeof(PredictNode) == 24, "PredictNode must stay packed");
 

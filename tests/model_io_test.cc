@@ -193,6 +193,37 @@ TEST(ModelIoTest, BinaryTreeRejectsSelfReferentialNode) {
   EXPECT_FALSE(ml::DecisionTree::DeserializeBinary(in).ok());
 }
 
+TEST(ModelIoTest, BinaryTreeRejectsLeafMarkerAsSplitFeature) {
+  // An internal node whose feature is the all-ones 32-bit value the
+  // in-memory node reserves for leaves, even though num_features admits it.
+  ByteWriter out;
+  out.WriteU32(1);
+  out.WriteU32(0);
+  out.WriteU64(uint64_t{1} << 33);  // num_features
+  out.WriteU64(2);                  // num_classes
+  out.WriteU64(3);                  // node_count
+  out.WriteU64(UINT32_MAX);         // root: feature
+  out.WriteDouble(0.5);
+  out.WriteI32(1);  // left
+  out.WriteI32(2);  // right
+  out.WriteI32(0);  // label
+  out.WriteU32(0);  // flags: internal
+  out.WriteDouble(0.0);
+  out.WriteU64(2);
+  for (int32_t label : {0, 1}) {
+    out.WriteU64(0);
+    out.WriteDouble(0.0);
+    out.WriteI32(-1);
+    out.WriteI32(-1);
+    out.WriteI32(label);
+    out.WriteU32(1);  // flags: leaf
+    out.WriteDouble(0.0);
+    out.WriteU64(1);
+  }
+  ByteReader in(out.bytes().data(), out.size());
+  EXPECT_FALSE(ml::DecisionTree::DeserializeBinary(in).ok());
+}
+
 TEST(ModelIoTest, SketchSnapshotIsNotABundle) {
   // A single-sketch checkpoint is a valid snapshot but not a model bundle.
   SnapshotWriter writer;

@@ -141,11 +141,14 @@ TEST(SerializationTest, RejectsOutOfRangeNodes) {
   const std::string bad =
       "opthash.cart.v1 2 2 1\n0 0 0.5 7 8 0 0.1 10\n";
   EXPECT_FALSE(ml::DecisionTree::Deserialize(bad).ok());
-  // A split feature index wider than the 32 bits a node holds.
-  const std::string wide =
-      "opthash.cart.v1 8589934592 2 3\n0 4294967296 0.5 1 2 0 0.1 10\n"
-      "1 0 0 -1 -1 0 0 5\n1 0 0 -1 -1 1 0 5\n";
-  EXPECT_FALSE(ml::DecisionTree::Deserialize(wide).ok());
+  // Split feature indices wider than the 32 bits a node holds, or equal
+  // to the all-ones value that marks a leaf in memory.
+  for (const char* feature : {"4294967296", "4294967295"}) {
+    const std::string wide =
+        std::string("opthash.cart.v1 8589934592 2 3\n0 ") + feature +
+        " 0.5 1 2 0 0.1 10\n1 0 0 -1 -1 0 0 5\n1 0 0 -1 -1 1 0 5\n";
+    EXPECT_FALSE(ml::DecisionTree::Deserialize(wide).ok()) << feature;
+  }
 }
 
 std::vector<core::PrefixElement> EstimatorPrefix(uint64_t seed) {
