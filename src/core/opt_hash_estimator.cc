@@ -243,6 +243,34 @@ void OptHashEstimator::ClassifyPendingRows(OptHashQueryWorkspace& ws) const {
   }
 }
 
+Span<double> OptHashEstimator::ZeroedRow(OptHashQueryWorkspace& ws,
+                                         size_t feature_dim) {
+  if (ws.row.rows() != 1 || ws.row.cols() != feature_dim) {
+    ws.row.Reshape(1, feature_dim);
+    ws.row.Fill(0.0);
+    // A query writes each coordinate at most once, so this capacity is
+    // never outgrown.
+    ws.written.reserve(feature_dim);
+  }
+  return Span<double>(ws.row.Row(0), feature_dim);
+}
+
+int32_t OptHashEstimator::ClassifyAndResetRow(
+    OptHashQueryWorkspace& ws) const {
+  // A one-row PredictBatch keeps the classifier's feature-dimension check.
+  int bucket = 0;
+  classifier_->PredictBatch(ws.row, Span<int>(&bucket, 1));
+  OPTHASH_CHECK_GE(bucket, 0);
+  OPTHASH_CHECK_LT(static_cast<size_t>(bucket), bucket_freq_.size());
+  double* row = ws.row.Row(0);
+  for (const size_t coordinate : ws.written) {
+    OPTHASH_CHECK_LT(coordinate, ws.row.cols());
+    row[coordinate] = 0.0;
+  }
+  ws.written.clear();
+  return bucket;
+}
+
 void OptHashEstimator::GatherEstimates(const OptHashQueryWorkspace& ws,
                                        Span<double> out) const {
   // Pass 2: the bucket counter reads run back to back, with the kernel

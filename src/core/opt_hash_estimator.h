@@ -82,16 +82,20 @@ struct OptHashTrainingInfo {
   double total_train_seconds = 0.0;
 };
 
-/// \brief Reusable scratch for the batched query path (two-pass
-/// route-then-gather, see OptHashEstimator::EstimateBatch). One workspace
-/// per querying thread; every call rewrites the contents, and after a
-/// warm-up call with the largest block size the workspace never
-/// heap-allocates again.
+/// \brief Reusable scratch for the batched query paths (two-pass
+/// route-then-gather, see OptHashEstimator::EstimateBatch and
+/// EstimateBatchLazy). One workspace per querying thread; every call
+/// rewrites the contents, and after a warm-up call with the largest block
+/// size the workspace never heap-allocates again.
 struct OptHashQueryWorkspace {
   std::vector<int32_t> buckets;  // Routed bucket per item (-1 = untracked).
   std::vector<size_t> pending;   // Item indices routed to the classifier.
-  ml::Matrix features;           // Gathered feature rows of pending items.
-  std::vector<int> predictions;  // Classifier output for pending items.
+  ml::Matrix features;           // EstimateBatch: pending items' rows.
+  std::vector<int> predictions;  // EstimateBatch: classifier output.
+  // EstimateBatchLazy: one 1 x feature_dim row, all zeros between
+  // queries, and the coordinates the current query wrote into it.
+  ml::Matrix row;
+  std::vector<size_t> written;
 };
 
 /// \brief The paper's proposed estimator (`opt-hash`).
@@ -142,9 +146,10 @@ class OptHashEstimator : public FrequencyEstimator {
   void EstimateBatch(Span<const stream::StreamItem> items,
                      Span<double> out) const override;
 
-  /// Batched point queries, two passes over the block:
+  /// Batched point queries over caller-supplied feature vectors, two
+  /// passes over the block:
   ///   1. route — every id probes the learned table back to back;
-  ///      the misses' feature rows are gathered into ws.features and
+  ///      the misses' feature rows are copied into ws.features and
   ///      classified in one PredictBatch call (RouteBatch);
   ///   2. gather — bucket counters are read back to back into out.
   /// Element-wise identical to a loop of Estimate; allocation-free once
@@ -154,14 +159,18 @@ class OptHashEstimator : public FrequencyEstimator {
 
   /// Batched point queries with *lazy* featurization, for callers that
   /// derive features from query payloads on demand (io::BundleQueryEngine
-  /// featurizes query text): the learned table routes every id first and
-  /// `fill_features(i, row)` is invoked exactly once per id the table
-  /// cannot resolve — writing that query's `feature_dim` doubles straight
-  /// into the workspace's gathered feature matrix — so resolved ids never
-  /// pay featurization and each table probe happens once. Without a
-  /// classifier, unresolved ids estimate 0 and `fill_features` is never
-  /// invoked. Answers are element-wise identical to EstimateBatch over
-  /// items carrying the same features.
+  /// featurizes query text): the learned table routes every id first, and
+  /// only the ids it cannot resolve are featurized, one at a time, through
+  /// the workspace's single reused row. For each such id,
+  /// `fill_features(i, row, written)` writes that query's features into
+  /// `row` (feature_dim doubles, all zeros on entry) and appends every
+  /// coordinate it wrote to `written`; the row is classified at once,
+  /// while it is still in cache, and then only those coordinates are set
+  /// back to zero. Scratch therefore stays O(feature_dim) whatever the
+  /// block size, resolved ids never pay featurization, and each table
+  /// probe happens once. Without a classifier, unresolved ids estimate 0
+  /// and `fill_features` is never invoked. Answers are element-wise
+  /// identical to EstimateBatch over items carrying the same features.
   template <typename FeatureFn>
   void EstimateBatchLazy(Span<const uint64_t> ids, size_t feature_dim,
                          Span<double> out, OptHashQueryWorkspace& ws,
@@ -169,12 +178,11 @@ class OptHashEstimator : public FrequencyEstimator {
     OPTHASH_CHECK_EQ(ids.size(), out.size());
     RouteTableOnly(ids, ws);
     if (!ws.pending.empty()) {
-      ws.features.Reshape(ws.pending.size(), feature_dim);
-      for (size_t p = 0; p < ws.pending.size(); ++p) {
-        fill_features(ws.pending[p],
-                      Span<double>(ws.features.Row(p), feature_dim));
+      const Span<double> row = ZeroedRow(ws, feature_dim);
+      for (const size_t i : ws.pending) {
+        fill_features(i, row, ws.written);
+        ws.buckets[i] = ClassifyAndResetRow(ws);
       }
-      ClassifyPendingRows(ws);
     }
     GatherEstimates(ws, out);
   }
@@ -237,10 +245,16 @@ class OptHashEstimator : public FrequencyEstimator {
   // candidates in ws.pending (only when a classifier exists);
   // ClassifyPendingRows expects ws.features filled with one row per
   // pending index and resolves them through one PredictBatch call;
+  // ZeroedRow sizes ws.row to 1 x feature_dim (zeroing it only when the
+  // shape changes) and returns it; ClassifyAndResetRow predicts ws.row's
+  // bucket and zeroes the coordinates listed in ws.written;
   // GatherEstimates turns ws.buckets into bucket-average answers.
   void RouteTableOnly(Span<const uint64_t> ids,
                       OptHashQueryWorkspace& ws) const;
   void ClassifyPendingRows(OptHashQueryWorkspace& ws) const;
+  static Span<double> ZeroedRow(OptHashQueryWorkspace& ws,
+                                size_t feature_dim);
+  int32_t ClassifyAndResetRow(OptHashQueryWorkspace& ws) const;
   void GatherEstimates(const OptHashQueryWorkspace& ws,
                        Span<double> out) const;
 

@@ -160,12 +160,13 @@ void BundleQueryEngine::EstimateBlock(
   ids_.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) ids_[i] = queries[i].id;
   // The lazy path probes the table once per id and calls back only for
-  // the misses, which featurize straight into the workspace's matrix.
+  // the misses, each featurized sparsely into the workspace's one row.
   bundle_.estimator->EstimateBatchLazy(
       Span<const uint64_t>(ids_.data(), ids_.size()),
       bundle_.featurizer.FeatureDim(), out, workspace_,
-      [this, &queries](size_t i, Span<double> row) {
-        bundle_.featurizer.Featurize(queries[i].text, row);
+      [this, &queries](size_t i, Span<double> row,
+                       std::vector<size_t>& written) {
+        bundle_.featurizer.Featurize(queries[i].text, row, written);
       });
 }
 

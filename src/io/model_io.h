@@ -58,15 +58,17 @@ Result<ModelBundle> LoadModelBundle(const std::string& path);
 ///
 /// EstimateBlock answers one block of (id, text) queries through the
 /// estimator's lazy batch path (OptHashEstimator::EstimateBatchLazy).
-/// Two properties make it fast in steady state: each id probes the
-/// learned table exactly once and is featurized only when the table
-/// cannot resolve it (a table hit wins before the classifier is
-/// consulted, so its features would be dead work — under a skewed query
-/// mix most lookups skip the featurizer entirely, and the misses
-/// featurize straight into the workspace's feature matrix), and all
-/// scratch is reused across blocks, so a warm engine performs no heap
-/// allocation per block. Answers are element-wise identical to
-/// featurizing every query and calling Estimate one by one.
+/// Each id probes the learned table exactly once and is featurized only
+/// when the table cannot resolve it (a table hit wins before the
+/// classifier is consulted, so its features would be dead work; under a
+/// skewed query mix most lookups skip the featurizer entirely). Each miss
+/// is featurized into one reused all-zero row, classified at once, and
+/// the row's written coordinates are reset, so scratch stays
+/// O(FeatureDim()) however large the block: a served bundle answering a
+/// full 4 MiB query frame holds one row, not one row per key. All scratch
+/// is reused across blocks, so a warm engine performs no heap allocation
+/// per block. Answers are element-wise identical to featurizing every
+/// query and calling Estimate one by one.
 ///
 /// Holds a reference to the bundle (which must outlive the engine) and
 /// mutable scratch: one engine per querying thread.
@@ -80,6 +82,9 @@ class BundleQueryEngine {
                      Span<double> out);
 
  private:
+  // Reads workspace_ to check that the reused row is reset between blocks.
+  friend class BundleQueryEngineTestPeer;
+
   const ModelBundle& bundle_;
   std::vector<uint64_t> ids_;
   core::OptHashQueryWorkspace workspace_;

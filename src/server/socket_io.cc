@@ -80,21 +80,6 @@ Result<int> ConnectUnix(const std::string& path) {
   return fd;
 }
 
-Result<int> AcceptWithTimeout(int listen_fd, int timeout_millis) {
-  pollfd poll_fd{};
-  poll_fd.fd = listen_fd;
-  poll_fd.events = POLLIN;
-  const int ready = ::poll(&poll_fd, 1, timeout_millis);
-  if (ready < 0) {
-    if (errno == EINTR) return Status::NotFound("accept interrupted");
-    return Errno("poll");
-  }
-  if (ready == 0) return Status::NotFound("accept timeout");
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd < 0) return Errno("accept");
-  return fd;
-}
-
 Result<AcceptedSocket> AcceptAnyWithTimeout(Span<const int> listen_fds,
                                             int timeout_millis) {
   pollfd poll_fds[8];
@@ -220,7 +205,6 @@ Status Unsupported() {
 bool UnixSocketsSupported() { return false; }
 Result<int> ListenUnix(const std::string&, int) { return Unsupported(); }
 Result<int> ConnectUnix(const std::string&) { return Unsupported(); }
-Result<int> AcceptWithTimeout(int, int) { return Unsupported(); }
 Result<AcceptedSocket> AcceptAnyWithTimeout(Span<const int>, int) {
   return Unsupported();
 }

@@ -28,11 +28,6 @@ Result<int> ListenUnix(const std::string& path, int backlog = 16);
 /// Connects to a listening Unix-domain socket.
 Result<int> ConnectUnix(const std::string& path);
 
-/// accept(2) with a poll timeout so callers can observe a stop flag:
-/// returns the accepted fd, NotFound on timeout (no pending connection),
-/// or an error Status.
-Result<int> AcceptWithTimeout(int listen_fd, int timeout_millis);
-
 /// One accepted connection plus which listener produced it (the daemon
 /// polls its Unix and TCP listeners together; the index tells it which
 /// transport the session arrived on).
@@ -41,9 +36,11 @@ struct AcceptedSocket {
   size_t listener_index = 0;
 };
 
-/// accept(2) across several listening sockets with one poll timeout;
-/// accept(2) itself is transport-agnostic, so the fds may mix AF_UNIX
-/// and AF_INET listeners. NotFound on timeout, like AcceptWithTimeout.
+/// accept(2) across several listening sockets with one poll timeout, so
+/// callers can observe a stop flag; accept(2) itself is
+/// transport-agnostic, so the fds may mix AF_UNIX and AF_INET listeners.
+/// Returns the accepted socket, NotFound on timeout (no pending
+/// connection) or an interrupted poll, or an error Status.
 Result<AcceptedSocket> AcceptAnyWithTimeout(Span<const int> listen_fds,
                                             int timeout_millis);
 

@@ -190,28 +190,32 @@ std::vector<double> BagOfWordsFeaturizer::Featurize(
     const std::string& text) const {
   OPTHASH_CHECK_MSG(fitted_, "Featurize before Fit");
   std::vector<double> features(FeatureDim(), 0.0);
-  FeaturizeZeroed(text, Span<double>(features.data(), features.size()));
+  FeaturizeZeroed(text, Span<double>(features.data(), features.size()),
+                  nullptr);
   return features;
 }
 
 void BagOfWordsFeaturizer::Featurize(const std::string& text,
                                      std::vector<double>& out) const {
+  OPTHASH_CHECK_MSG(fitted_, "Featurize before Fit");
   // Reuse the caller's buffer: resize only when the dimension changes
   // (first call) — no per-query allocation afterwards.
   if (out.size() != FeatureDim()) out.resize(FeatureDim());
-  Featurize(text, Span<double>(out.data(), out.size()));
+  std::fill(out.begin(), out.end(), 0.0);
+  FeaturizeZeroed(text, Span<double>(out.data(), out.size()), nullptr);
 }
 
 void BagOfWordsFeaturizer::Featurize(const std::string& text,
-                                     Span<double> out) const {
+                                     Span<double> row,
+                                     std::vector<size_t>& written) const {
   OPTHASH_CHECK_MSG(fitted_, "Featurize before Fit");
-  OPTHASH_CHECK_EQ(out.size(), FeatureDim());
-  std::fill(out.begin(), out.end(), 0.0);
-  FeaturizeZeroed(text, out);
+  OPTHASH_CHECK_EQ(row.size(), FeatureDim());
+  FeaturizeZeroed(text, row, &written);
 }
 
-void BagOfWordsFeaturizer::FeaturizeZeroed(const std::string& text,
-                                           Span<double> out) const {
+void BagOfWordsFeaturizer::FeaturizeZeroed(
+    const std::string& text, Span<double> out,
+    std::vector<size_t>* written) const {
   // The four §7.3 count features, folded into the same character pass.
   size_t chars = 0;
   size_t punctuation = 0;
@@ -228,9 +232,18 @@ void BagOfWordsFeaturizer::FeaturizeZeroed(const std::string& text,
       [&](const char* begin, size_t length, uint64_t hash) {
         if (length > max_token_length_) return;
         const IndexSlot entry = index_[ProbeSlot(begin, length, hash)];
-        if (entry.token_plus_one != 0) out[entry.token_plus_one - 1] += 1.0;
+        if (entry.token_plus_one == 0) return;
+        double& count = out[entry.token_plus_one - 1];
+        // The row starts at zero, so a zero count marks a first write.
+        if (written != nullptr && count == 0.0) {
+          written->push_back(entry.token_plus_one - 1);
+        }
+        count += 1.0;
       });
   const size_t base = vocabulary_.size();
+  if (written != nullptr) {
+    for (size_t k = 0; k < 4; ++k) written->push_back(base + k);
+  }
   out[base + 0] = static_cast<double>(chars);
   out[base + 1] = static_cast<double>(punctuation);
   out[base + 2] = static_cast<double>(dots);

@@ -33,18 +33,22 @@ class BagOfWordsFeaturizer {
   /// vocabulary token counts followed by the four count features.
   std::vector<double> Featurize(const std::string& text) const;
 
-  /// Out-parameter overload for the batched/hot query path: fills `out`
-  /// (resized to FeatureDim() on first use, reused afterwards) instead of
-  /// returning a fresh dense vector. Results are identical to the
-  /// returning overload.
+  /// Out-parameter overload: fills `out` (resized to FeatureDim() on
+  /// first use, reused afterwards) instead of returning a fresh dense
+  /// vector. Results are identical to the returning overload. One pass
+  /// over the text: each token is hashed while it is scanned and looked
+  /// up in the vocabulary index, with no token copy and no allocation.
   void Featurize(const std::string& text, std::vector<double>& out) const;
 
-  /// Raw-row overload: writes exactly FeatureDim() doubles into `out`
-  /// (which must have that size), e.g. one scratch-matrix row of the
-  /// estimator's lazy-featurizing batch path. One pass over the text:
-  /// each token is hashed while it is scanned and looked up in the
-  /// vocabulary index, with no token copy and no allocation.
-  void Featurize(const std::string& text, Span<double> out) const;
+  /// Sparse overload for a row reused across queries, e.g. the estimator's
+  /// lazy-featurizing batch path: `row` (FeatureDim() doubles) must be all
+  /// zeros on entry. Writes the same features as the dense overloads and
+  /// appends each coordinate it wrote to `written`, once per coordinate:
+  /// the vocabulary hits, then the four count features. Setting those
+  /// coordinates back to zero restores the row, so the next query pays
+  /// for its own tokens, not for FeatureDim().
+  void Featurize(const std::string& text, Span<double> row,
+                 std::vector<size_t>& written) const;
 
   /// Feature dimension = |vocabulary| + 4.
   size_t FeatureDim() const { return vocabulary_.size() + 4; }
@@ -83,8 +87,10 @@ class BagOfWordsFeaturizer {
     uint32_t token_plus_one = 0;
   };
 
-  // Featurize into a row that is already all zeros.
-  void FeaturizeZeroed(const std::string& text, Span<double> out) const;
+  // Featurize into a row that is already all zeros; when `written` is not
+  // null, also appends each coordinate written (see the sparse overload).
+  void FeaturizeZeroed(const std::string& text, Span<double> out,
+                       std::vector<size_t>* written) const;
 
   // Rebuilds index_ and max_token_length_ from vocabulary_; every path
   // that sets vocabulary_ (Fit and both readers) ends with it.

@@ -27,6 +27,19 @@
 #include "stream/features.h"
 
 namespace opthash {
+namespace io {
+
+// Reads the engine's reused scratch, to check its row between blocks.
+class BundleQueryEngineTestPeer {
+ public:
+  static const core::OptHashQueryWorkspace& Workspace(
+      const BundleQueryEngine& engine) {
+    return engine.workspace_;
+  }
+};
+
+}  // namespace io
+
 namespace {
 
 using core::AdaptiveConfig;
@@ -384,6 +397,97 @@ TEST(EstimateBatchTest, BundleQueryEngineMatchesScalarFeaturizePath) {
   }
   // Empty block edge.
   engine.EstimateBlock(Span<const stream::TraceRecord>(), Span<double>());
+}
+
+// A query text over a small word pool, half of it outside the vocabulary:
+// the vocabulary hits differ from one text to the next, and texts may be
+// empty, punctuation-only, mixed-case or repeat a token.
+std::string RandomQueryText(Rng& rng) {
+  static const char* const kWords[] = {
+      "alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "Alpha",
+      "BETA",  "zeta", "rho",   "tau",   "42",    "x9",    "unseen", "rare",
+      "words", "only", "...",   "!?"};
+  constexpr size_t kNumWords = sizeof(kWords) / sizeof(kWords[0]);
+  std::string text;
+  const size_t tokens = rng.NextBounded(7);  // 0 = empty text.
+  for (size_t t = 0; t < tokens; ++t) {
+    const std::string word = kWords[rng.NextBounded(kNumWords)];
+    const size_t repeats = rng.NextBounded(4) == 0 ? 3 : 1;
+    for (size_t r = 0; r < repeats; ++r) {
+      if (!text.empty()) text += rng.NextBounded(3) == 0 ? ". " : " ";
+      text += word;
+    }
+  }
+  return text;
+}
+
+// Every coordinate of the engine's reused row is back at zero.
+void ExpectRowReset(const io::BundleQueryEngine& engine) {
+  const OptHashQueryWorkspace& ws =
+      io::BundleQueryEngineTestPeer::Workspace(engine);
+  EXPECT_TRUE(ws.written.empty());
+  for (size_t c = 0; c < ws.row.cols(); ++c) {
+    ASSERT_EQ(ws.row.At(0, c), 0.0) << "coordinate " << c;
+  }
+}
+
+TEST(EstimateBatchTest, BundleQueryEngineMatchesScalarPathOnEveryClassifier) {
+  Rng rng(31);
+  io::ModelBundle bundle;
+  bundle.featurizer = stream::BagOfWordsFeaturizer(10);
+  bundle.featurizer.Fit({{"alpha beta gamma delta omega", 9.0},
+                         {"sigma kappa alpha", 5.0},
+                         {"zeta rho tau 42 x9", 2.0}});
+  // Prefix whose frequency follows its text, so every classifier learns
+  // splits over several vocabulary words.
+  std::vector<PrefixElement> prefix;
+  for (size_t i = 0; i < 80; ++i) {
+    const std::string text = RandomQueryText(rng);
+    std::vector<double> features = bundle.featurizer.Featurize(text);
+    double frequency = 1.0;
+    for (size_t c = 0; c < 4; ++c) frequency += 20.0 * features[c];
+    prefix.push_back({.id = 1000 + i,
+                      .frequency = frequency,
+                      .features = std::move(features)});
+  }
+  std::vector<stream::TraceRecord> queries;
+  for (size_t i = 0; i < 601; ++i) {
+    queries.push_back({990 + rng.NextBounded(200), RandomQueryText(rng)});
+  }
+  for (const ClassifierKind kind :
+       {ClassifierKind::kRandomForest, ClassifierKind::kCart,
+        ClassifierKind::kLogisticRegression}) {
+    OptHashConfig config;
+    config.total_buckets = 40;
+    config.id_ratio = 0.5;
+    config.solver = SolverKind::kDp;
+    config.classifier = kind;
+    config.rf.num_trees = 9;
+    config.rf.max_depth = 6;
+    auto trained = OptHashEstimator::Train(config, prefix);
+    ASSERT_TRUE(trained.ok());
+    bundle.estimator = std::move(trained).value();
+
+    io::BundleQueryEngine engine(bundle);
+    std::vector<double> block_answers(queries.size());
+    for (const size_t block : {1u, 13u, 256u, 601u}) {
+      for (size_t base = 0; base < queries.size(); base += block) {
+        const size_t n = std::min(block, queries.size() - base);
+        engine.EstimateBlock(
+            Span<const stream::TraceRecord>(queries.data() + base, n),
+            Span<double>(block_answers.data() + base, n));
+        ExpectRowReset(engine);
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const std::vector<double> features =
+            bundle.featurizer.Featurize(queries[i].text);
+        ASSERT_EQ(block_answers[i],
+                  bundle.estimator->Estimate({queries[i].id, &features}))
+            << bundle.estimator->classifier()->Name() << " block " << block
+            << " index " << i << " text '" << queries[i].text << "'";
+      }
+    }
+  }
 }
 
 }  // namespace

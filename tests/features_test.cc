@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
+#include "common/span.h"
 #include "io/bytes.h"
 #include "stream/query_log.h"
 
@@ -280,9 +284,27 @@ void ExpectMatchesReference(const BagOfWordsFeaturizer& featurizer,
                             const char* label) {
   SCOPED_TRACE(label);
   std::vector<double> row;
+  // The sparse overload writes into one reused row that starts at zero
+  // and must be back at zero once its written coordinates are reset.
+  std::vector<double> sparse_row(featurizer.FeatureDim(), 0.0);
+  std::vector<size_t> written;
   for (const std::string& text : texts) {
     featurizer.Featurize(text, row);
     ASSERT_EQ(row, ReferenceFeatures(featurizer, text)) << "text: " << text;
+
+    written.clear();
+    featurizer.Featurize(text,
+                         Span<double>(sparse_row.data(), sparse_row.size()),
+                         written);
+    ASSERT_EQ(sparse_row, row) << "text: " << text;
+    std::vector<size_t> sorted = written;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << "a coordinate listed twice, text: " << text;
+    for (const size_t c : written) sparse_row[c] = 0.0;
+    ASSERT_EQ(std::count(sparse_row.begin(), sparse_row.end(), 0.0),
+              static_cast<std::ptrdiff_t>(sparse_row.size()))
+        << "a written coordinate was not listed, text: " << text;
   }
 }
 

@@ -76,10 +76,20 @@ TEST_P(OptInvariantSweep, MoreSweepsNeverHurt) {
   EXPECT_LE(long_objective, short_objective + 1e-9);
 }
 
-TEST_P(OptInvariantSweep, SolversRespectObjectiveHierarchy) {
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, OptInvariantSweep,
+    ::testing::Values(std::make_tuple(10, 3, 1.0), std::make_tuple(10, 3, 0.5),
+                      std::make_tuple(12, 2, 0.0), std::make_tuple(40, 6, 0.7),
+                      std::make_tuple(80, 10, 1.0),
+                      std::make_tuple(60, 4, 0.3)));
+
+// The hierarchy needs the exact solver's proven optimum, so it sweeps its
+// own shapes, all small enough (n <= 12) for branch-and-bound to finish.
+class OptHierarchySweep : public ::testing::TestWithParam<ProblemShape> {};
+
+TEST_P(OptHierarchySweep, SolversRespectObjectiveHierarchy) {
   // exact <= bcd everywhere; for lambda = 1 additionally dp <= bcd.
   const auto [n, b, lambda] = GetParam();
-  if (n > 12) GTEST_SKIP() << "exact solver only exercised on small n";
   const HashingProblem problem = testutil::RandomProblem(n, b, lambda, 2, 12);
   BcdConfig bcd_config;
   bcd_config.num_restarts = 2;
@@ -87,8 +97,9 @@ TEST_P(OptInvariantSweep, SolversRespectObjectiveHierarchy) {
   ExactConfig exact_config;
   exact_config.time_limit_seconds = 10.0;
   exact_config.bcd = bcd_config;
-  const double exact =
-      ExactSolver(exact_config).Solve(problem).objective.overall;
+  const SolveResult exact_result = ExactSolver(exact_config).Solve(problem);
+  ASSERT_TRUE(exact_result.proven_optimal);
+  const double exact = exact_result.objective.overall;
   EXPECT_LE(exact, bcd + 1e-9);
   if (lambda == 1.0) {
     const double dp = DpSolver().Solve(problem).objective.overall;
@@ -98,11 +109,11 @@ TEST_P(OptInvariantSweep, SolversRespectObjectiveHierarchy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, OptInvariantSweep,
+    Shapes, OptHierarchySweep,
     ::testing::Values(std::make_tuple(10, 3, 1.0), std::make_tuple(10, 3, 0.5),
-                      std::make_tuple(12, 2, 0.0), std::make_tuple(40, 6, 0.7),
-                      std::make_tuple(80, 10, 1.0),
-                      std::make_tuple(60, 4, 0.3)));
+                      std::make_tuple(12, 2, 0.0), std::make_tuple(11, 4, 0.7),
+                      std::make_tuple(12, 3, 1.0),
+                      std::make_tuple(9, 4, 0.3)));
 
 TEST(OptPropertyTest, ExactLowerBoundBelowAnyFeasibleSolution) {
   const HashingProblem problem = testutil::RandomProblem(9, 3, 0.6, 2, 13);

@@ -5,10 +5,14 @@
 // assert that a *warm* query path — scalar and batched, featurization
 // included — performs zero heap allocations. Works under ASan too (the
 // counting operators forward to malloc/free, which ASan intercepts).
+// The same operators count bytes, which bounds the scratch a cold bundle
+// engine allocates for a block of classifier-routed queries.
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,24 +21,29 @@
 #include "common/span.h"
 #include "core/baseline_estimators.h"
 #include "core/opt_hash_estimator.h"
+#include "io/model_io.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/count_sketch.h"
 #include "stream/features.h"
 
 namespace {
 std::atomic<size_t> g_allocation_count{0};
+std::atomic<size_t> g_allocated_bytes{0};
 }  // namespace
 
 // Counting global allocator. Every operator new in the binary funnels
-// through here; the tests read the counter around warmed hot-path calls.
+// through here; the tests read the allocation and byte counters around
+// hot-path calls.
 void* operator new(std::size_t size) {
   ++g_allocation_count;
+  g_allocated_bytes += size;
   if (void* ptr = std::malloc(size ? size : 1)) return ptr;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   ++g_allocation_count;
+  g_allocated_bytes += size;
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
@@ -68,6 +77,14 @@ size_t AllocationsIn(Fn fn) {
   const size_t before = g_allocation_count.load();
   fn();
   return g_allocation_count.load() - before;
+}
+
+// Bytes requested from operator new by `fn` (frees are not subtracted).
+template <typename Fn>
+size_t BytesAllocatedIn(Fn fn) {
+  const size_t before = g_allocated_bytes.load();
+  fn();
+  return g_allocated_bytes.load() - before;
 }
 
 TEST(QueryAllocTest, FeaturizeOutParameterIsAllocationFreeWhenWarm) {
@@ -154,6 +171,101 @@ TEST(QueryAllocTest, BatchLearnedEstimateIsAllocationFreeWhenWarm) {
     for (int i = 0; i < 20; ++i) run();
   });
   EXPECT_EQ(allocations, 0u);
+}
+
+// A bundle over a 500-word vocabulary (FeatureDim() = 504, as in the
+// paper's §7.3 featurization) with a random-forest classifier, and query
+// texts drawn from that vocabulary.
+struct WordBundle {
+  io::ModelBundle bundle;
+  std::vector<std::string> words;
+};
+
+WordBundle MakeWordBundle() {
+  WordBundle out;
+  std::vector<std::pair<std::string, double>> corpus;
+  for (size_t w = 0; w < 520; ++w) {
+    out.words.push_back("w" + std::to_string(w));
+    corpus.push_back({out.words.back(), 1000.0 - static_cast<double>(w)});
+  }
+  out.bundle.featurizer = stream::BagOfWordsFeaturizer(500);
+  out.bundle.featurizer.Fit(corpus);
+  Rng rng(17);
+  std::vector<PrefixElement> prefix;
+  for (size_t i = 0; i < 60; ++i) {
+    const size_t word = rng.NextBounded(out.words.size());
+    prefix.push_back(
+        {.id = 100 + i,
+         .frequency = 1.0 + static_cast<double>(word % 50),
+         .features = out.bundle.featurizer.Featurize(
+             out.words[word] + " " + out.words[rng.NextBounded(40)])});
+  }
+  OptHashConfig config;
+  config.total_buckets = 40;
+  config.id_ratio = 0.3;
+  config.solver = SolverKind::kDp;
+  config.classifier = ClassifierKind::kRandomForest;
+  config.rf.num_trees = 6;
+  auto trained = OptHashEstimator::Train(config, prefix);
+  OPTHASH_CHECK(trained.ok());
+  out.bundle.estimator = std::move(trained).value();
+  return out;
+}
+
+// `count` queries whose ids the learned table never stored, so every one
+// is featurized and classified.
+std::vector<stream::TraceRecord> UnresolvedQueries(const WordBundle& words,
+                                                   size_t count) {
+  Rng rng(19);
+  std::vector<stream::TraceRecord> queries;
+  queries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    std::string text = words.words[rng.NextBounded(words.words.size())];
+    text += " ";
+    text += words.words[rng.NextBounded(words.words.size())];
+    queries.push_back({1'000'000 + i, std::move(text)});
+  }
+  return queries;
+}
+
+TEST(QueryAllocTest, WarmForestBundleBlockIsAllocationFree) {
+  const WordBundle words = MakeWordBundle();
+  std::vector<stream::TraceRecord> queries = UnresolvedQueries(words, 400);
+  // Mix in stored ids so the block takes both routes.
+  for (size_t i = 0; i < queries.size(); i += 3) queries[i].id = 100 + i % 60;
+  std::vector<double> out(queries.size());
+  io::BundleQueryEngine engine(words.bundle);
+  const auto run = [&] {
+    engine.EstimateBlock(
+        Span<const stream::TraceRecord>(queries.data(), queries.size()),
+        Span<double>(out.data(), out.size()));
+  };
+  run();  // Warm-up sizes the engine's scratch.
+  const size_t allocations = AllocationsIn([&] {
+    for (int i = 0; i < 10; ++i) run();
+  });
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(QueryAllocTest, UnresolvedBlockScratchDoesNotScaleWithFeatureDim) {
+  // A served bundle may be asked a whole frame of keys the table cannot
+  // resolve. The engine's scratch must grow with the block, not with
+  // block x FeatureDim(): a dense row per query would be ~80 MB here.
+  const WordBundle words = MakeWordBundle();
+  const size_t dim = words.bundle.featurizer.FeatureDim();
+  ASSERT_EQ(dim, 504u);
+  constexpr size_t kQueries = 20'000;
+  const std::vector<stream::TraceRecord> queries =
+      UnresolvedQueries(words, kQueries);
+  std::vector<double> out(kQueries);
+  io::BundleQueryEngine engine(words.bundle);
+  const size_t bytes = BytesAllocatedIn([&] {
+    engine.EstimateBlock(
+        Span<const stream::TraceRecord>(queries.data(), queries.size()),
+        Span<double>(out.data(), out.size()));
+  });
+  const size_t dense_bytes = kQueries * dim * sizeof(double);
+  EXPECT_LT(bytes, dense_bytes / 50) << "allocated " << bytes << " bytes";
 }
 
 TEST(QueryAllocTest, SketchBatchQueriesAreAllocationFree) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "ml/metrics.h"
@@ -150,6 +151,91 @@ TEST(RandomForestTest, VoteMatchesFirstMaxOfAClassHistogram) {
     ASSERT_TRUE(forest.ok());
     EXPECT_EQ(forest.value().Predict({0.0, 0.0}), expected);
   }
+}
+
+// Appends a random subtree in the text format's preorder and returns its
+// root's index. A node splits with probability 3/4 until depth_left runs
+// out, so sibling subtrees end at uneven depths; depth_left = 0 makes a
+// single leaf.
+int32_t AppendRandomSubtree(Rng& rng, size_t depth_left, size_t num_features,
+                            size_t num_classes,
+                            std::vector<std::string>& lines) {
+  const auto id = static_cast<int32_t>(lines.size());
+  lines.emplace_back();
+  const std::string label = std::to_string(rng.NextBounded(num_classes));
+  if (depth_left == 0 || rng.NextBounded(4) == 0) {
+    lines[id] = "1 0 0 -1 -1 " + label + " 0 1";
+    return id;
+  }
+  const int32_t left = AppendRandomSubtree(rng, depth_left - 1, num_features,
+                                           num_classes, lines);
+  const int32_t right = AppendRandomSubtree(rng, depth_left - 1, num_features,
+                                            num_classes, lines);
+  lines[id] = "0 " + std::to_string(rng.NextBounded(num_features)) + " " +
+              std::to_string(rng.NextDouble(-1.0, 1.0)) + " " +
+              std::to_string(left) + " " + std::to_string(right) + " " +
+              label + " 0 1";
+  return id;
+}
+
+std::string RandomTreeText(Rng& rng, size_t max_depth, size_t num_features,
+                           size_t num_classes) {
+  std::vector<std::string> lines;
+  AppendRandomSubtree(rng, max_depth, num_features, num_classes, lines);
+  std::string text = "opthash.cart.v1 " + std::to_string(num_features) + " " +
+                     std::to_string(num_classes) + " " +
+                     std::to_string(lines.size()) + "\n";
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+TEST(RandomForestTest, PredictMatchesPerTreeWalksAndFirstMaxVote) {
+  // The forest's prediction against each tree walked on its own and the
+  // first-max vote of a per-class histogram, on random forests whose
+  // trees range from a single leaf to depth 12. Few classes and even tree
+  // counts make tied votes common.
+  Rng rng(21);
+  constexpr size_t kNumFeatures = 5;
+  size_t tied_rows = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t num_classes = 1 + rng.NextBounded(4);
+    const size_t num_trees = 1 + rng.NextBounded(12);
+    std::string forest_text = "opthash.rf.v1 " + std::to_string(num_classes) +
+                              " " + std::to_string(kNumFeatures) + " " +
+                              std::to_string(num_trees) + "\n";
+    std::vector<DecisionTree> trees;
+    for (size_t t = 0; t < num_trees; ++t) {
+      const std::string tree_text = RandomTreeText(
+          rng, rng.NextBounded(13), kNumFeatures, num_classes);
+      auto tree = DecisionTree::Deserialize(tree_text);
+      ASSERT_TRUE(tree.ok());
+      trees.push_back(std::move(tree).value());
+      forest_text += tree_text;
+    }
+    auto forest = RandomForest::Deserialize(forest_text);
+    ASSERT_TRUE(forest.ok());
+    Matrix rows(40, kNumFeatures);
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      for (size_t f = 0; f < kNumFeatures; ++f) {
+        rows.At(i, f) = rng.NextDouble(-1.2, 1.2);
+      }
+    }
+    std::vector<int> batch(rows.rows());
+    forest.value().PredictBatch(rows, Span<int>(batch.data(), batch.size()));
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      std::vector<size_t> votes(num_classes, 0);
+      for (const DecisionTree& tree : trees) {
+        ++votes[static_cast<size_t>(tree.PredictRow(rows.Row(i)))];
+      }
+      const auto best = std::max_element(votes.begin(), votes.end());
+      const auto expected = static_cast<int>(best - votes.begin());
+      if (std::count(votes.begin(), votes.end(), *best) > 1) ++tied_rows;
+      ASSERT_EQ(forest.value().PredictRow(rows.Row(i)), expected)
+          << "trial " << trial << " row " << i;
+      ASSERT_EQ(batch[i], expected) << "trial " << trial << " row " << i;
+    }
+  }
+  EXPECT_GT(tied_rows, 0u);
 }
 
 TEST(RandomForestTest, PredictBatchMatchesPredictRowWithMoreClassesThanTrees) {
